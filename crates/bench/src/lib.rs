@@ -2,9 +2,8 @@
 //!
 //! The harness has two faces:
 //!
-//! * `cargo bench -p stacksim-bench` — Criterion benches, one per paper
-//!   table/figure plus microbenches of the hot substrates, each regenerating
-//!   its rows at bench-friendly windows;
+//! * `cargo bench -p stacksim-bench` — Criterion microbenches of the hot
+//!   substrates, plus the thermal solve and the tracing-overhead guard;
 //! * `cargo run -p stacksim-bench --release --bin reproduce` — the full
 //!   reproduction pass over all twelve mixes at publication windows,
 //!   printing every table the paper reports (the source of
@@ -16,16 +15,6 @@
 pub mod obs;
 
 use stacksim::runner::RunConfig;
-use stacksim::scenario::Machines;
-use stacksim_workload::Mix;
-
-/// The six named machines the experiment drivers take. Benches use the
-/// builtin constructors directly (no file IO inside an iterated bench);
-/// `tests/scenarios.rs` keeps these bit-identical to the shipped
-/// `scenarios/` files.
-pub fn bench_machines() -> Machines {
-    Machines::builtin()
-}
 
 /// The window used by Criterion benches: long enough to be past warmup
 /// transients, short enough for iterated measurement.
@@ -48,28 +37,9 @@ pub fn full_run() -> RunConfig {
     }
 }
 
-/// A small representative mix subset for iterated benches: one of each
-/// class.
-pub fn bench_mixes() -> Vec<&'static Mix> {
-    ["VH2", "H1", "HM2", "M1"]
-        .iter()
-        .map(|n| Mix::by_name(n).expect("known mix"))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn bench_mixes_cover_all_classes() {
-        use stacksim_workload::MixClass;
-        let classes: Vec<MixClass> = bench_mixes().iter().map(|m| m.class).collect();
-        assert!(classes.contains(&MixClass::VeryHigh));
-        assert!(classes.contains(&MixClass::High));
-        assert!(classes.contains(&MixClass::HighModerate));
-        assert!(classes.contains(&MixClass::Moderate));
-    }
 
     #[test]
     fn windows_are_ordered() {

@@ -1,6 +1,6 @@
 //! Banked caches (the shared L2).
 
-use stacksim_stats::StatRecord;
+use stacksim_stats::MetricsSink;
 use stacksim_types::{
     InterleaveGranularity, L2BankId, LineAddr, LINE_OFFSET_BITS, PAGE_BYTES, PAGE_OFFSET_BITS,
 };
@@ -164,17 +164,15 @@ impl BankedCache {
         self.banks.iter().map(SetAssocCache::writebacks).sum()
     }
 
-    /// Aggregated statistics.
-    pub fn stats(&self) -> StatRecord {
-        let mut r = StatRecord::new("l2");
-        r.set("hits", self.hits() as f64);
-        r.set("misses", self.misses() as f64);
-        r.set("writebacks", self.writebacks() as f64);
+    /// Writes the statistics aggregated over all banks into `node`.
+    pub fn write_metrics(&self, node: &mut MetricsSink) {
+        node.counter("hits", self.hits());
+        node.counter("misses", self.misses());
+        node.counter("writebacks", self.writebacks());
         let total = (self.hits() + self.misses()) as f64;
         if total > 0.0 {
-            r.set("miss_rate", self.misses() as f64 / total);
+            node.gauge("miss_rate", self.misses() as f64 / total);
         }
-        r
     }
 }
 
@@ -278,7 +276,9 @@ mod tests {
         c.access(LineAddr::new(0), false);
         c.fill(LineAddr::new(0), false);
         c.access(LineAddr::new(0), false);
-        assert_eq!(c.stats().get("miss_rate"), Some(0.5));
+        let mut s = MetricsSink::new("l2");
+        c.write_metrics(&mut s);
+        assert_eq!(s.get("miss_rate"), Some(0.5));
     }
 
     #[test]

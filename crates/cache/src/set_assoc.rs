@@ -1,6 +1,6 @@
 //! A set-associative, write-back, write-allocate cache with true LRU.
 
-use stacksim_stats::StatRecord;
+use stacksim_stats::MetricsSink;
 use stacksim_types::LineAddr;
 
 use crate::config::CacheConfig;
@@ -203,18 +203,18 @@ impl SetAssocCache {
         self.writebacks
     }
 
-    /// Exports statistics.
-    pub fn stats(&self) -> StatRecord {
-        let mut r = StatRecord::new("cache");
-        r.set("hits", self.hits as f64);
-        r.set("misses", self.misses as f64);
-        r.set("fills", self.fills as f64);
-        r.set("writebacks", self.writebacks as f64);
+    /// Writes this cache's statistics into `node`, each name prefixed with
+    /// `prefix` (a core's DL1 shares the core's node as `dl1.*`).
+    pub fn write_metrics(&self, node: &mut MetricsSink, prefix: &str) {
+        let mut m = node.prefixed(prefix);
+        m.counter("hits", self.hits);
+        m.counter("misses", self.misses);
+        m.counter("fills", self.fills);
+        m.counter("writebacks", self.writebacks);
         let total = (self.hits + self.misses) as f64;
         if total > 0.0 {
-            r.set("miss_rate", self.misses as f64 / total);
+            m.gauge("miss_rate", self.misses as f64 / total);
         }
-        r
     }
 }
 
@@ -313,8 +313,10 @@ mod tests {
         c.access(LineAddr::new(0), false);
         c.fill(LineAddr::new(0), false);
         c.access(LineAddr::new(0), false);
-        let s = c.stats();
-        assert_eq!(s.get("miss_rate"), Some(0.5));
+        let mut s = MetricsSink::new("core0");
+        c.write_metrics(&mut s, "dl1.");
+        assert_eq!(s.get("dl1.miss_rate"), Some(0.5));
+        assert_eq!(s.get("dl1.fills"), Some(1.0));
     }
 
     #[test]

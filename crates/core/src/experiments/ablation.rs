@@ -221,7 +221,7 @@ pub fn ablation_smart_refresh(
         |cfg| -> Result<(f64, f64), ConfigError> {
             let mut sys = System::for_mix(cfg, mix, run.seed)?;
             sys.run_cycles(run.warmup_cycles + run.measure_cycles);
-            let stats = sys.stats();
+            let stats = sys.metrics();
             let refreshes: f64 = (0..cfg.memory.mcs as usize)
                 .map(|i| stats.get(&format!("mc{i}.ranks.refreshes")).unwrap_or(0.0))
                 .sum();
@@ -272,7 +272,7 @@ pub fn ablation_energy(
             let cfg = machines.aggressive(4, 16, row_buffers);
             let mut sys = System::for_mix(&cfg, mix, run.seed)?;
             sys.run_cycles(run.warmup_cycles + run.measure_cycles);
-            let stats = sys.stats();
+            let stats = sys.metrics();
             let energy = sys.dram_energy(&model);
             let committed = sys.total_committed().max(1) as f64;
             let hits: f64 = (0..4)

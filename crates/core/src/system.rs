@@ -12,7 +12,7 @@ use stacksim_mshr::{
     CamMshr, DirectMappedMshr, DynamicTuner, HierarchicalMshr, MissHandler, MissKind, MissTarget,
     MshrKind, OccupancySample, ProbeScheme, VbfMshr,
 };
-use stacksim_stats::{Histogram, MetricsSink, StatRecord};
+use stacksim_stats::{Histogram, MetricsSink};
 use stacksim_types::{
     AddressMapper, BusConfig, ClockDomain, ConfigError, CoreId, Cycle, Cycles, LineAddr,
 };
@@ -1210,41 +1210,12 @@ impl System {
         })
     }
 
-    /// Exports the machine's statistics (cores, L2, MCs, MSHR behaviour).
-    pub fn stats(&self) -> StatRecord {
-        let mut r = StatRecord::new("system");
-        r.set("cycles", self.now.raw() as f64);
-        r.set("ticked_cycles", self.ticked_cycles as f64);
-        r.set("skipped_cycles", self.skipped_cycles as f64);
-        r.set("committed", self.total_committed() as f64);
-        r.set("mshr_full_retries", self.mshr_full_retries as f64);
-        let (mshr_s, window_s, branch_s) = self.stall_breakdown();
-        r.set("mshr_stall_cycles", mshr_s as f64);
-        r.set("window_stall_cycles", window_s as f64);
-        r.set("branch_stall_cycles", branch_s as f64);
-        r.set("dropped_prefetches", self.dropped_prefetches as f64);
-        r.set("l2_prefetches_issued", self.l2_prefetches_issued as f64);
-        r.set("spurious_completions", self.spurious_completions as f64);
-        if let Some(p) = self.probes_per_access() {
-            r.set("mshr_probes_per_access", p);
-        }
-        let occupancy: usize = self.mshr_banks.iter().map(|b| b.occupancy()).sum();
-        r.set("mshr_occupancy", occupancy as f64);
-        r.absorb(&self.l2.stats());
-        for core in &self.cores {
-            r.absorb(&core.stats());
-        }
-        for mc in &self.mcs {
-            r.absorb(&mc.stats());
-        }
-        r
-    }
-
-    /// Exports the machine's statistics as a hierarchical [`MetricsSink`]:
-    /// system-level counters at the root, with one child per component
-    /// (`l2`, `core0..N`, `mc0..M`). Flattening the tree yields exactly the
-    /// same names and values as the flat [`stats`](System::stats) record,
-    /// so downstream lookups like `"mc0.ranks.refreshes"` work unchanged.
+    /// Exports the machine's statistics (cores, L2, MCs, MSHR behaviour) as
+    /// a hierarchical [`MetricsSink`]: system-level counters at the root,
+    /// with one child per component (`l2`, `core0..N`, `mc0..M`) that the
+    /// component writes itself. Look values up by dotted path, e.g.
+    /// `metrics().get("mc0.ranks.refreshes")`; `docs/METRICS.md` lists
+    /// every path.
     pub fn metrics(&self) -> MetricsSink {
         let mut sink = MetricsSink::new("system");
         sink.counter("cycles", self.now.raw());
@@ -1264,11 +1235,12 @@ impl System {
         }
         let occupancy: usize = self.mshr_banks.iter().map(|b| b.occupancy()).sum();
         sink.counter("mshr_occupancy", occupancy as u64);
-        for record in std::iter::once(self.l2.stats())
-            .chain(self.cores.iter().map(Core::stats))
-            .chain(self.mcs.iter().map(MemoryController::stats))
-        {
-            sink.child_mut(record.component()).absorb_record(&record);
+        self.l2.write_metrics(sink.child_mut("l2"));
+        for core in &self.cores {
+            core.write_metrics(sink.child_mut(&format!("core{}", core.id().index())));
+        }
+        for mc in &self.mcs {
+            mc.write_metrics(sink.child_mut(&format!("mc{}", mc.id().index())));
         }
         sink
     }
@@ -1296,6 +1268,7 @@ fn make_mshr(kind: MshrKind, entries: usize) -> Box<dyn MissHandler> {
 mod tests {
     use super::*;
     use crate::configs;
+    use stacksim_stats::MetricValue;
     use stacksim_workload::Instr;
 
     /// A scripted generator usable from system tests.
@@ -1356,7 +1329,7 @@ mod tests {
             .collect();
         let mut sys = System::with_generators(&cfg, gens).unwrap();
         sys.run_cycles(20_000);
-        let stats = sys.stats();
+        let stats = sys.metrics();
         assert!(sys.total_committed() > 0, "cores must make progress");
         assert!(stats.get("l2.misses").unwrap() > 0.0, "L2 must miss");
         assert!(
@@ -1399,7 +1372,7 @@ mod tests {
         let mix = Mix::by_name("VH1").unwrap();
         let mut sys = System::for_mix(&cfg, mix, 1).unwrap();
         sys.run_cycles(20_000);
-        let stats = sys.stats();
+        let stats = sys.metrics();
         for mc in 0..4 {
             assert!(
                 stats.get(&format!("mc{mc}.issued")).unwrap_or(0.0) > 0.0,
@@ -1440,7 +1413,7 @@ mod tests {
         let mix = Mix::by_name("M1").unwrap();
         let mut sys = System::for_mix(&cfg, mix, 2).unwrap();
         sys.run_cycles(5_000);
-        let stats = sys.stats();
+        let stats = sys.metrics();
         for key in [
             "cycles",
             "committed",
@@ -1453,21 +1426,94 @@ mod tests {
     }
 
     #[test]
-    fn metrics_tree_flattens_to_flat_stats() {
+    fn metrics_tree_layout_is_pinned() {
+        // Every stored result, served document and digest depends on this
+        // exact order of flattened paths; a refactor of the exporters must
+        // not rename, reorder, nest or drop any of them.
         let cfg = configs::cfg_3d_fast();
         let mix = Mix::by_name("H1").unwrap();
         let mut sys = System::for_mix(&cfg, mix, 2).unwrap();
         sys.run_cycles(5_000);
-        let flat: Vec<(String, f64)> = sys
-            .stats()
-            .iter()
-            .map(|(n, v)| (n.to_string(), v))
-            .collect();
-        let tree = sys.metrics().flatten();
-        assert_eq!(
-            tree, flat,
-            "hierarchical export must mirror the flat record"
-        );
+        let tree = sys.metrics();
+        let paths: Vec<String> = tree.flatten().into_iter().map(|(p, _)| p).collect();
+
+        let mut expected: Vec<String> = [
+            "cycles",
+            "ticked_cycles",
+            "skipped_cycles",
+            "committed",
+            "mshr_full_retries",
+            "mshr_stall_cycles",
+            "window_stall_cycles",
+            "branch_stall_cycles",
+            "dropped_prefetches",
+            "l2_prefetches_issued",
+            "spurious_completions",
+            "mshr_probes_per_access",
+            "mshr_occupancy",
+            "l2.hits",
+            "l2.misses",
+            "l2.writebacks",
+            "l2.miss_rate",
+        ]
+        .map(String::from)
+        .to_vec();
+        for core in 0..4 {
+            for leaf in [
+                "committed",
+                "mshr_stall_cycles",
+                "window_stall_cycles",
+                "prefetches_issued",
+                "prefetches_dropped",
+                "spurious_fills",
+                "dl1.hits",
+                "dl1.misses",
+                "dl1.fills",
+                "dl1.writebacks",
+                "dl1.miss_rate",
+                "branch_stall_cycles",
+                "dtlb.hits",
+                "dtlb.misses",
+                "dtlb.miss_rate",
+                "tage.predictions",
+                "tage.mispredictions",
+                "tage.mispredicts_per_kilo",
+            ] {
+                expected.push(format!("core{core}.{leaf}"));
+            }
+        }
+        for leaf in [
+            "issued",
+            "rejected",
+            "row_hits",
+            "row_hit_rate",
+            "bus_busy_cycles",
+            "avg_queue_wait",
+            "avg_service_time",
+            "avg_queue_depth",
+            "ranks.reads",
+            "ranks.writes",
+            "ranks.row_hits",
+            "ranks.row_misses",
+            "ranks.activates",
+            "ranks.refreshes",
+            "ranks.busy_cycles",
+            "ranks.row_hit_rate",
+        ] {
+            expected.push(format!("mc0.{leaf}"));
+        }
+        assert_eq!(paths, expected);
+        // Dotted names (`dl1.hits`, `ranks.reads`) are metrics of their
+        // component's node, not nodes of their own.
+        assert!(tree.children().all(|c| c.children().next().is_none()));
+
+        let kind = |path: &str| tree.get_value(path).map(MetricValue::kind);
+        for counter in ["l2.misses", "core0.dl1.hits", "mc0.ranks.reads"] {
+            assert_eq!(kind(counter), Some("counter"), "{counter}");
+        }
+        for gauge in ["l2.miss_rate", "mc0.avg_queue_wait"] {
+            assert_eq!(kind(gauge), Some("gauge"), "{gauge}");
+        }
     }
 
     #[test]

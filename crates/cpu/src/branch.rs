@@ -6,7 +6,7 @@
 //! tagged hit provides the prediction, and allocation on mispredictions
 //! migrates hard branches to longer histories.
 
-use stacksim_stats::StatRecord;
+use stacksim_stats::MetricsSink;
 
 /// Geometry of the TAGE predictor.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
@@ -326,15 +326,16 @@ impl Tage {
             .then(|| self.mispredictions as f64 / self.predictions as f64 * 1000.0)
     }
 
-    /// Exports statistics.
-    pub fn stats(&self) -> StatRecord {
-        let mut r = StatRecord::new("tage");
-        r.set("predictions", self.predictions as f64);
-        r.set("mispredictions", self.mispredictions as f64);
-        if let Some(m) = self.mpki() {
-            r.set("mispredicts_per_kilo", m);
+    /// Writes the predictor's statistics into `node`, each name prefixed
+    /// with `prefix` (a core's predictor shares the core's node as
+    /// `tage.*`).
+    pub fn write_metrics(&self, node: &mut MetricsSink, prefix: &str) {
+        let mut m = node.prefixed(prefix);
+        m.counter("predictions", self.predictions);
+        m.counter("mispredictions", self.mispredictions);
+        if let Some(mpki) = self.mpki() {
+            m.gauge("mispredicts_per_kilo", mpki);
         }
-        r
     }
 }
 
@@ -441,9 +442,10 @@ mod tests {
     fn stats_track_rates() {
         let mut tage = Tage::new(TageConfig::penryn_4kb());
         train(&mut tage, 0x800, &[true, true, false, true]);
-        let s = tage.stats();
-        assert_eq!(s.get("predictions"), Some(4.0));
-        assert!(s.get("mispredicts_per_kilo").unwrap() > 0.0);
+        let mut s = MetricsSink::new("core0");
+        tage.write_metrics(&mut s, "tage.");
+        assert_eq!(s.get("tage.predictions"), Some(4.0));
+        assert!(s.get("tage.mispredicts_per_kilo").unwrap() > 0.0);
         assert_eq!(tage.penalty(), 14);
     }
 

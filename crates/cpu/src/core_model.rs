@@ -7,7 +7,7 @@ use stacksim_cache::{
     AccessOutcome, NextLinePrefetcher, Prefetcher, SetAssocCache, StridePrefetcher,
 };
 use stacksim_mshr::{CamMshr, MissHandler, MissKind, MissTarget};
-use stacksim_stats::StatRecord;
+use stacksim_stats::MetricsSink;
 use stacksim_types::{CoreId, Cycle, Cycles, LineAddr};
 use stacksim_vm::{PageAllocator, Tlb, TlbConfig, TlbOutcome, VirtAddr};
 use stacksim_workload::{Instr, InstrBlock, TraceGenerator};
@@ -644,28 +644,23 @@ impl Core {
         self.window.is_empty() && self.mshr.occupancy() == 0
     }
 
-    /// Exports per-core statistics.
-    pub fn stats(&self) -> StatRecord {
-        let mut r = StatRecord::new(format!("core{}", self.id.index()));
-        r.set("committed", self.committed as f64);
-        r.set("mshr_stall_cycles", self.mshr_stall_cycles as f64);
-        r.set("window_stall_cycles", self.window_stall_cycles as f64);
-        r.set("prefetches_issued", self.prefetches_issued as f64);
-        r.set("prefetches_dropped", self.prefetches_dropped as f64);
-        r.set("spurious_fills", self.spurious_fills as f64);
-        let mut dl1 = StatRecord::new("dl1");
-        for (name, value) in self.dl1.stats().iter() {
-            dl1.set(name, value);
-        }
-        r.absorb(&dl1);
-        r.set("branch_stall_cycles", self.branch_stall_cycles as f64);
+    /// Writes per-core statistics into `node`, including the DL1, DTLB and
+    /// branch predictor's as `dl1.*`, `dtlb.*` and `tage.*`.
+    pub fn write_metrics(&self, node: &mut MetricsSink) {
+        node.counter("committed", self.committed);
+        node.counter("mshr_stall_cycles", self.mshr_stall_cycles);
+        node.counter("window_stall_cycles", self.window_stall_cycles);
+        node.counter("prefetches_issued", self.prefetches_issued);
+        node.counter("prefetches_dropped", self.prefetches_dropped);
+        node.counter("spurious_fills", self.spurious_fills);
+        self.dl1.write_metrics(node, "dl1.");
+        node.counter("branch_stall_cycles", self.branch_stall_cycles);
         if let Some(vm) = &self.vm {
-            r.absorb(&vm.tlb.stats());
+            vm.tlb.write_metrics(node, "dtlb.");
         }
         if let Some(tage) = &self.tage {
-            r.absorb(&tage.stats());
+            tage.write_metrics(node, "tage.");
         }
-        r
     }
 }
 
@@ -715,6 +710,12 @@ mod tests {
     fn bare_core(instrs: Vec<Instr>) -> Core {
         let cfg = CoreConfig::penryn().without_prefetchers();
         Core::new(CoreId::new(0), cfg, Box::new(Script::new(instrs)))
+    }
+
+    fn metrics_of(core: &Core) -> MetricsSink {
+        let mut node = MetricsSink::new("core0");
+        core.write_metrics(&mut node);
+        node
     }
 
     #[test]
@@ -773,8 +774,7 @@ mod tests {
         // Exactly 8 L1 MSHRs: never more outstanding, and requests stop.
         assert_eq!(core.outstanding_misses(), 8);
         assert_eq!(reqs.iter().filter(|r| !r.is_prefetch).count(), 8);
-        let s = core.stats();
-        assert!(s.get("mshr_stall_cycles").unwrap() > 0.0);
+        assert!(metrics_of(&core).get("mshr_stall_cycles").unwrap() > 0.0);
     }
 
     #[test]
@@ -789,7 +789,7 @@ mod tests {
             core.cycle(Cycle::new(c), &mut reqs);
         }
         assert_eq!(core.window_occupancy(), 96);
-        assert!(core.stats().get("window_stall_cycles").unwrap() > 0.0);
+        assert!(metrics_of(&core).get("window_stall_cycles").unwrap() > 0.0);
         assert_eq!(core.committed(), 0);
     }
 
@@ -850,7 +850,7 @@ mod tests {
     fn spurious_fill_is_counted_not_fatal() {
         let mut core = bare_core(vec![Instr::Compute]);
         assert!(core.fill(LineAddr::new(42)).is_none());
-        assert_eq!(core.stats().get("spurious_fills"), Some(1.0));
+        assert_eq!(metrics_of(&core).get("spurious_fills"), Some(1.0));
     }
 
     impl Core {

@@ -3,9 +3,9 @@
 use std::collections::VecDeque;
 
 use stacksim_dram::{
-    AccessResult, BankConfig, BankTickState, DramCmd, DramCmdKind, PagePolicy, Rank,
+    AccessResult, Bank, BankConfig, BankTickState, DramCmd, DramCmdKind, PagePolicy, Rank,
 };
-use stacksim_stats::{Histogram, RunningStats, StatRecord};
+use stacksim_stats::{Histogram, MetricsSink, RunningStats};
 use stacksim_types::{BusConfig, ConfigError, Cycle, Cycles, DramTimingCycles, McId, LINE_BYTES};
 
 use crate::request::{MemRequest, RequestKind};
@@ -436,34 +436,48 @@ impl MemoryController {
         }
     }
 
-    /// Exports final statistics (including aggregated rank counters).
-    pub fn stats(&self) -> StatRecord {
-        let mut r = StatRecord::new(format!("mc{}", self.id.index()));
-        r.set("issued", self.issued as f64);
-        r.set("rejected", self.rejected as f64);
-        r.set("row_hits", self.row_hits as f64);
+    /// Writes final statistics into `node`, with each bank counter summed
+    /// over every bank of every rank as `ranks.*`.
+    pub fn write_metrics(&self, node: &mut MetricsSink) {
+        node.counter("issued", self.issued);
+        node.counter("rejected", self.rejected);
+        node.counter("row_hits", self.row_hits);
         if self.issued > 0 {
-            r.set("row_hit_rate", self.row_hits as f64 / self.issued as f64);
+            node.gauge("row_hit_rate", self.row_hits as f64 / self.issued as f64);
         }
-        r.set("bus_busy_cycles", self.bus_busy as f64);
+        node.counter("bus_busy_cycles", self.bus_busy);
         if let Some(w) = self.queue_wait.mean() {
-            r.set("avg_queue_wait", w);
+            node.gauge("avg_queue_wait", w);
         }
         if let Some(s) = self.service_time.mean() {
-            r.set("avg_service_time", s);
+            node.gauge("avg_service_time", s);
         }
         if let Some(d) = self.queue_depth.mean() {
-            r.set("avg_queue_depth", d);
+            node.gauge("avg_queue_depth", d);
         }
+        let rank_sum = |rank: &Rank, f: fn(&Bank) -> u64| rank.banks().map(f).sum::<u64>();
+        let sum = |f: fn(&Bank) -> u64| self.ranks.iter().map(|r| rank_sum(r, f)).sum::<u64>();
+        node.counter("ranks.reads", sum(Bank::reads));
+        node.counter("ranks.writes", sum(Bank::writes));
+        node.counter("ranks.row_hits", sum(Bank::row_hits));
+        node.counter("ranks.row_misses", sum(Bank::row_misses));
+        node.counter("ranks.activates", sum(Bank::activates));
+        node.counter("ranks.refreshes", sum(Bank::refreshes));
+        node.counter("ranks.busy_cycles", sum(Bank::busy_cycles));
+        // The *sum* of per-rank hit rates over the ranks that saw an access,
+        // not a rate; kept so stored results stay identical (see
+        // docs/METRICS.md).
+        let mut rate_sum = None;
         for rank in &self.ranks {
-            let rs = rank.stats();
-            for (name, value) in rs.iter() {
-                let key = format!("ranks.{name}");
-                let prev = r.get(&key).unwrap_or(0.0);
-                r.set(key, prev + value);
+            let hits = rank_sum(rank, Bank::row_hits) as f64;
+            let total = hits + rank_sum(rank, Bank::row_misses) as f64;
+            if total > 0.0 {
+                rate_sum = Some(rate_sum.unwrap_or(0.0) + hits / total);
             }
         }
-        r
+        if let Some(rate) = rate_sum {
+            node.gauge("ranks.row_hit_rate", rate);
+        }
     }
 }
 
@@ -494,6 +508,12 @@ mod tests {
             MemoryController::new(McId::new(0), cfg),
             AddressMapper::new(geom),
         )
+    }
+
+    fn metrics_of(mc: &MemoryController) -> MetricsSink {
+        let mut node = MetricsSink::new("mc0");
+        mc.write_metrics(&mut node);
+        node
     }
 
     fn read_req(mapper: &AddressMapper, page: u64, now: u64) -> MemRequest {
@@ -592,7 +612,7 @@ mod tests {
         let (done, _) = run_until_complete(&mut mc, Cycle::ZERO);
         assert_eq!(done.len(), 2);
         assert!(done.iter().any(|c| c.row_hit));
-        let s = mc.stats();
+        let s = metrics_of(&mc);
         assert_eq!(s.get("issued"), Some(2.0));
         assert_eq!(s.get("row_hits"), Some(1.0));
         assert_eq!(s.get("ranks.reads"), Some(2.0));
@@ -622,8 +642,8 @@ mod tests {
         // But the bus occupancy — and therefore the second request's
         // serialization — is identical.
         assert_eq!(
-            plain.stats().get("bus_busy_cycles"),
-            cwf.stats().get("bus_busy_cycles")
+            metrics_of(&plain).get("bus_busy_cycles"),
+            metrics_of(&cwf).get("bus_busy_cycles")
         );
     }
 

@@ -32,7 +32,7 @@
 use core::fmt;
 
 use crate::json::Json;
-use crate::{Histogram, StatRecord};
+use crate::Histogram;
 
 /// A five-number summary of a [`Histogram`], small enough to export per run.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -97,10 +97,10 @@ impl MetricValue {
 /// A hierarchical sink of named metrics: one node per simulated component,
 /// with ordered metrics and ordered child components.
 ///
-/// `MetricsSink` replaces the flat [`StatRecord`] at run boundaries
-/// (devices still report `StatRecord`s, absorbed via
-/// [`MetricsSink::absorb_record`]); `docs/METRICS.md` documents the full
-/// schema.
+/// Devices write their statistics straight into the node they are given;
+/// a sub-device that shares its owner's node (a core's DL1, DTLB and
+/// branch predictor) writes through [`MetricsSink::prefixed`].
+/// `docs/METRICS.md` documents the full schema.
 #[derive(Clone, Debug, PartialEq, Default)]
 pub struct MetricsSink {
     name: String,
@@ -197,13 +197,22 @@ impl MetricsSink {
         self.metrics.iter().map(|(n, v)| (n.as_str(), v))
     }
 
-    /// Copies a flat [`StatRecord`]'s entries into this node as gauges,
-    /// preserving order. Entry names keep any internal dots they already
-    /// have (e.g. `ranks.refreshes`).
-    pub fn absorb_record(&mut self, record: &StatRecord) {
-        for (name, value) in record.iter() {
-            self.gauge(name, value);
-        }
+    /// A writer that records metrics into this node under `prefix`, so a
+    /// sub-device's `hits` lands here as e.g. `dl1.hits` — a dotted metric
+    /// name of this node, not a child component.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use stacksim_stats::MetricsSink;
+    ///
+    /// let mut core = MetricsSink::new("core0");
+    /// core.prefixed("dl1.").counter("hits", 7);
+    /// assert_eq!(core.get("dl1.hits"), Some(7.0));
+    /// assert_eq!(core.children().count(), 0);
+    /// ```
+    pub fn prefixed<'a>(&'a mut self, prefix: &'a str) -> Prefixed<'a> {
+        Prefixed { node: self, prefix }
     }
 
     /// Looks up a metric by dotted path relative to this node, e.g.
@@ -227,9 +236,9 @@ impl MetricsSink {
     }
 
     /// Flattens the tree to `(dotted_path, scalar)` pairs in depth-first
-    /// order. The root's own name is *not* prefixed, so paths line up with
-    /// the flat [`StatRecord`] names the text reports use (`"l2.misses"`,
-    /// not `"system.l2.misses"`).
+    /// order, each node's own metrics before its children's. The root's own
+    /// name is *not* prefixed, so paths read `"l2.misses"`, not
+    /// `"system.l2.misses"`.
     pub fn flatten(&self) -> Vec<(String, f64)> {
         let mut out = Vec::new();
         self.flatten_into("", &mut out);
@@ -457,6 +466,25 @@ impl MetricsSink {
     }
 }
 
+/// Records metrics into one [`MetricsSink`] node with every name prefixed;
+/// created by [`MetricsSink::prefixed`].
+pub struct Prefixed<'a> {
+    node: &'a mut MetricsSink,
+    prefix: &'a str,
+}
+
+impl Prefixed<'_> {
+    /// Records (or overwrites) the counter `<prefix><name>`.
+    pub fn counter(&mut self, name: &str, value: u64) {
+        self.node.counter(format!("{}{name}", self.prefix), value);
+    }
+
+    /// Records (or overwrites) the gauge `<prefix><name>`.
+    pub fn gauge(&mut self, name: &str, value: f64) {
+        self.node.gauge(format!("{}{name}", self.prefix), value);
+    }
+}
+
 fn within_tol(a: f64, b: f64, rel_tol: f64) -> bool {
     if a == b {
         return true; // covers exact zeros and identical values
@@ -632,17 +660,6 @@ mod tests {
     }
 
     #[test]
-    fn absorb_record_preserves_order() {
-        let mut rec = StatRecord::new("mc0");
-        rec.set("issued", 10.0);
-        rec.set("ranks.refreshes", 2.0);
-        let mut sink = MetricsSink::new("system");
-        sink.child_mut("mc0").absorb_record(&rec);
-        assert_eq!(sink.get("mc0.issued"), Some(10.0));
-        assert_eq!(sink.get("mc0.ranks.refreshes"), Some(2.0));
-    }
-
-    #[test]
     fn overwrite_keeps_position() {
         let mut s = MetricsSink::new("x");
         s.counter("a", 1);
@@ -651,6 +668,20 @@ mod tests {
         let flat = s.flatten();
         assert_eq!(flat[0], ("a".into(), 3.0));
         assert_eq!(flat.len(), 2);
+    }
+
+    #[test]
+    fn prefixed_writes_keep_insertion_order() {
+        let mut core = MetricsSink::new("core0");
+        core.counter("committed", 10);
+        core.prefixed("dl1.").gauge("miss_rate", 0.5);
+        core.counter("branch_stall_cycles", 3);
+        let names: Vec<String> = core.flatten().into_iter().map(|(n, _)| n).collect();
+        assert_eq!(names, ["committed", "dl1.miss_rate", "branch_stall_cycles"]);
+        assert_eq!(
+            core.get_value("dl1.miss_rate"),
+            Some(&MetricValue::Gauge(0.5))
+        );
     }
 
     #[test]

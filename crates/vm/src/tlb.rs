@@ -1,6 +1,6 @@
 //! Set-associative TLB models (Table 1: 64-entry, 4-way DTLB).
 
-use stacksim_stats::StatRecord;
+use stacksim_stats::MetricsSink;
 use stacksim_types::Cycles;
 
 /// TLB geometry and miss cost.
@@ -160,16 +160,16 @@ impl Tlb {
         self.misses
     }
 
-    /// Exports statistics.
-    pub fn stats(&self) -> StatRecord {
-        let mut r = StatRecord::new("dtlb");
-        r.set("hits", self.hits as f64);
-        r.set("misses", self.misses as f64);
+    /// Writes this TLB's statistics into `node`, each name prefixed with
+    /// `prefix` (a core's DTLB shares the core's node as `dtlb.*`).
+    pub fn write_metrics(&self, node: &mut MetricsSink, prefix: &str) {
+        let mut m = node.prefixed(prefix);
+        m.counter("hits", self.hits);
+        m.counter("misses", self.misses);
         let total = (self.hits + self.misses) as f64;
         if total > 0.0 {
-            r.set("miss_rate", self.misses as f64 / total);
+            m.gauge("miss_rate", self.misses as f64 / total);
         }
-        r
     }
 }
 
@@ -236,7 +236,9 @@ mod tests {
         let mut t = tiny();
         t.access(1);
         t.access(1);
-        assert_eq!(t.stats().get("miss_rate"), Some(0.5));
+        let mut s = MetricsSink::new("core0");
+        t.write_metrics(&mut s, "dtlb.");
+        assert_eq!(s.get("dtlb.miss_rate"), Some(0.5));
     }
 
     #[test]
