@@ -287,6 +287,27 @@ impl SystemConfig {
                 self.mshr.total_entries, mcs
             )));
         }
+        // Shapes the MSHR constructors cannot build: reject them here so a
+        // scenario file or a served query gets an error, not a panic.
+        let per_bank = self.mshr_entries_per_bank();
+        if self.mshr.kind == MshrKind::DirectQuadratic && !per_bank.is_power_of_two() {
+            return Err(ConfigError::new(format!(
+                "direct-quadratic MSHRs need a power-of-two entry count per bank, not {per_bank}"
+            )));
+        }
+        if self.mshr.kind == MshrKind::Hierarchical && per_bank < 2 {
+            return Err(ConfigError::new(format!(
+                "hierarchical MSHRs need at least 2 entries per bank (one per first-level bank), not {per_bank}"
+            )));
+        }
+        if let Some(tuner) = &self.mshr.dynamic {
+            if tuner.divisors.is_empty() || tuner.divisors.iter().any(|&d| d == 0 || d > per_bank) {
+                return Err(ConfigError::new(format!(
+                    "MSHR tuner divisors {:?} must be non-empty and in 1..={per_bank} (the entries per bank)",
+                    tuner.divisors
+                )));
+            }
+        }
         if self.memory.mrq_total < mcs {
             return Err(ConfigError::new(
                 "memory request queue smaller than MC count",
@@ -364,6 +385,7 @@ impl SystemConfig {
 #[cfg(test)]
 mod tests {
     use crate::configs;
+    use stacksim_mshr::{MshrKind, TunerConfig};
 
     #[test]
     fn named_configs_validate() {
@@ -393,6 +415,37 @@ mod tests {
         assert!(cfg.validate().is_err());
         cfg.mshr.total_entries = 0;
         assert!(cfg.validate().is_err());
+    }
+
+    #[test]
+    fn unbuildable_mshr_shapes_rejected() {
+        // Each shape used to pass validation and then panic while the
+        // machine was built.
+        let quad = configs::cfg_quad_mc(); // 2 entries per bank
+        let tuned = quad.with_dynamic_mshr(TunerConfig::default()); // divisor 4 > 2
+        let err = tuned.validate().unwrap_err();
+        assert!(err.to_string().contains("tuner divisors"), "{err}");
+        assert!(quad
+            .with_dynamic_mshr(TunerConfig {
+                divisors: vec![1, 2],
+                ..TunerConfig::default()
+            })
+            .validate()
+            .is_ok());
+
+        let mut quadratic = configs::cfg_2d().with_mshr_kind(MshrKind::DirectQuadratic);
+        quadratic.mshr.total_entries = 6;
+        let err = quadratic.validate().unwrap_err();
+        assert!(err.to_string().contains("power-of-two"), "{err}");
+        quadratic.mshr.total_entries = 8;
+        assert!(quadratic.validate().is_ok());
+
+        let mut hierarchical = configs::cfg_2d().with_mshr_kind(MshrKind::Hierarchical);
+        hierarchical.mshr.total_entries = 1;
+        let err = hierarchical.validate().unwrap_err();
+        assert!(err.to_string().contains("at least 2 entries"), "{err}");
+        hierarchical.mshr.total_entries = 2;
+        assert!(hierarchical.validate().is_ok());
     }
 
     #[test]

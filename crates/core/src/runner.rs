@@ -67,6 +67,12 @@ impl RunConfig {
 
     /// This configuration with fast-forwarding disabled (full per-cycle
     /// simulation), for verifying that skipping changes nothing.
+    ///
+    /// Every cycle then runs the full tick loop, but requests blocked on a
+    /// full MSHR bank still wait off the event wheel and re-probe only when
+    /// their bank changes — the engine has one retry path — so a
+    /// comparison against this mode checks cycle skipping, not blocked-
+    /// request handling.
     pub fn tick_by_tick(mut self) -> RunConfig {
         self.fast_forward = false;
         self

@@ -1175,6 +1175,19 @@ mod tests {
     }
 
     #[test]
+    fn unbuildable_mshr_shape_rejected_by_validation() {
+        // A quad-MC machine has 2 MSHR entries per bank, too few for the
+        // default tuner's 1/4 divisor.
+        let err = scenario(
+            r#"{"l2": {"interleave": "page"}, "memory": {"mcs": 4, "ranks": 16},
+                "mshr": {"dynamic": {}}}"#,
+        )
+        .unwrap_err();
+        assert!(matches!(err, ScenarioError::Config(_)), "{err}");
+        assert!(err.to_string().contains("tuner divisors"), "{err}");
+    }
+
+    #[test]
     fn stack_groups_define_totals() {
         let s = scenario(
             r#"{"l2": {"interleave": "page"},

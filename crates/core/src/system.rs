@@ -14,7 +14,8 @@ use stacksim_mshr::{
 };
 use stacksim_stats::{Histogram, MetricsSink};
 use stacksim_types::{
-    AddressMapper, BusConfig, ClockDomain, ConfigError, CoreId, Cycle, Cycles, LineAddr,
+    AddressMapper, BusConfig, ClockDomain, ConfigError, CoreId, Cycle, Cycles, FastBuildHasher,
+    LineAddr,
 };
 use stacksim_vm::PageAllocator;
 use stacksim_workload::{Mix, SyntheticWorkload, TraceGenerator};
@@ -75,19 +76,70 @@ const PER_CORE_REGION: u64 = 2 << 30;
 #[derive(Debug)]
 enum EventKind {
     /// A core request (demand, prefetch or DL1 writeback) reaches the L2.
-    /// `retried` marks re-attempts after an MSHR-full stall, which must not
-    /// re-count statistics or re-train prefetchers.
-    L2Access { req: CoreRequest, retried: bool },
+    L2Access(CoreRequest),
     /// A memory request, past its MSHR probe latency and wire delay, joins
     /// its controller's send queue.
     McSend(MemRequest),
     /// Fill data reaches the cores waiting on `line`.
     CoreFill { line: LineAddr, cores: Vec<CoreId> },
+    /// The requests blocked on full MSHR banks (`System::retry_due`) get
+    /// their attempt for this cycle. At most one marker is pending: it is
+    /// scheduled for the next cycle when the first request of a cycle
+    /// blocks, so it sits where that request's own retry event would.
+    Retries,
 }
 
-/// The MSHR allocation parameters a core request misses with. Shared by
-/// the L2 miss path and the fast-forward retry replay, which must charge
-/// the exact same allocation attempt.
+/// A core request stalled on a full MSHR bank. It waits off the event
+/// wheel and re-runs its L2 probe and allocation only once its bank has
+/// changed: while `System::mshr_epoch[bank]` still equals `epoch`, another
+/// attempt would fail exactly as the last one did, spending `probes`
+/// probes, so those attempts are charged in bulk instead of performed.
+#[derive(Debug)]
+struct Blocked {
+    req: CoreRequest,
+    bank: usize,
+    epoch: u64,
+    probes: u32,
+    /// First cycle whose failed attempt is not yet charged to statistics.
+    uncharged_from: Cycle,
+}
+
+impl Blocked {
+    /// Charges the identical failed attempts of cycles
+    /// `uncharged_from..now` to the retry counter and probe histogram.
+    fn charge_until(&mut self, now: Cycle, probe_hist: &mut Histogram, retries: &mut u64) {
+        let n = now.raw() - self.uncharged_from.raw();
+        if n > 0 {
+            probe_hist.record_n(u64::from(self.probes), n);
+            *retries += n;
+            self.uncharged_from = now;
+        }
+    }
+}
+
+/// Debug-build oracle for the bank-epoch proof: a blocked request passed
+/// over because its bank is unchanged must really still be blocked — its
+/// line absent from the L2 and a real allocation attempt failing with the
+/// cached probe count. Calling `allocate` here is safe because a failing
+/// `allocate` is pure in every MSHR organization: it only reads the bank.
+#[cfg(debug_assertions)]
+fn assert_still_blocked(l2: &BankedCache, bank: &mut dyn MissHandler, b: &Blocked, now: Cycle) {
+    assert!(
+        !l2.contains(b.req.line),
+        "blocked line {} is in the L2",
+        b.req.line
+    );
+    let (target, kind) = miss_params(&b.req);
+    let attempt = bank.allocate(b.req.line, target, kind, now);
+    assert_eq!(
+        attempt.map_err(|e| e.probes()),
+        Err(b.probes),
+        "blocked request on line {} would not fail as cached",
+        b.req.line
+    );
+}
+
+/// The MSHR allocation parameters a core request misses with.
 fn miss_params(req: &CoreRequest) -> (MissTarget, MissKind) {
     let token = u64::from(req.is_write) << 1; // bit 0 = L2 origin (clear here)
     let target = MissTarget {
@@ -270,13 +322,27 @@ pub struct System {
     l2_nextline: Option<NextLinePrefetcher>,
     l2_stride: Option<StridePrefetcher>,
     mshr_banks: Vec<Box<dyn MissHandler>>,
+    /// Per-bank change counter, bumped by everything that can turn a
+    /// failed allocation into a different outcome: a successful allocate
+    /// (primary or merge), a non-writeback completion (which deallocates
+    /// and/or fills the L2 with a line the bank owns) and a capacity-limit
+    /// change. A blocked request's line can only enter the L2 through such
+    /// a completion, so an unchanged epoch proves its attempt would fail
+    /// again.
+    mshr_epoch: Vec<u64>,
     tuner: Option<DynamicTuner>,
     mcs: Vec<MemoryController>,
     send_queues: Vec<SendQueues>,
     pf_cap_per_mc: usize,
-    pf_inflight: Vec<std::collections::HashSet<LineAddr>>,
+    pf_inflight: Vec<std::collections::HashSet<LineAddr, FastBuildHasher>>,
     mapper: AddressMapper,
     events: EventWheel,
+    /// Requests blocked on full MSHR banks whose next attempt is due at the
+    /// pending [`EventKind::Retries`] marker, in the order they blocked.
+    retry_due: Vec<Blocked>,
+    /// Requests that blocked this cycle, due next cycle; swapped into
+    /// `retry_due` when the cycle's event drain ends.
+    retry_next: Vec<Blocked>,
     req_buf: Vec<CoreRequest>,
     completion_buf: Vec<Completion>,
     core_list_pool: Vec<Vec<CoreId>>,
@@ -446,7 +512,7 @@ impl System {
         };
         let pf_cap_per_mc = L2_PF_INFLIGHT_PER_MC;
         let pf_inflight = (0..cfg.memory.mcs)
-            .map(|_| std::collections::HashSet::new())
+            .map(|_| std::collections::HashSet::with_hasher(FastBuildHasher))
             .collect();
         Ok(System {
             now: Cycle::ZERO,
@@ -454,6 +520,7 @@ impl System {
             l2,
             l2_nextline: cfg.l2_prefetch.then(|| NextLinePrefetcher::new(1)),
             l2_stride: cfg.l2_prefetch.then(|| StridePrefetcher::new(64, 1)),
+            mshr_epoch: vec![0; cfg.memory.mcs as usize],
             mshr_banks,
             tuner,
             mcs,
@@ -462,6 +529,8 @@ impl System {
             pf_inflight,
             mapper,
             events: EventWheel::new(),
+            retry_due: Vec::new(),
+            retry_next: Vec::new(),
             req_buf: Vec::new(),
             completion_buf: Vec::new(),
             core_list_pool: Vec::new(),
@@ -604,6 +673,10 @@ impl System {
     /// the earliest cycle anything can happen and jumps there in one
     /// step, bulk-replaying the per-cycle statistics the skipped ticks
     /// would have recorded.
+    ///
+    /// Requests blocked on full MSHR banks are charged their deferred
+    /// failed attempts before this returns, so statistics read between
+    /// runs are complete.
     pub fn run_cycles(&mut self, n: u64) {
         let end = self.now + Cycles::new(n);
         while self.now < end {
@@ -618,6 +691,9 @@ impl System {
                 }
             }
             self.tick();
+        }
+        for b in &mut self.retry_due {
+            b.charge_until(self.now, &mut self.probe_hist, &mut self.mshr_full_retries);
         }
     }
 
@@ -693,25 +769,24 @@ impl System {
     /// at the controller clock, send-queue drains, trace sampling, and
     /// dynamic MSHR tuner boundaries. The caller has already bounded
     /// `end` by core activity, so a returned target skips whole-machine
-    /// dead time.
-    fn mc_skip_target(&self, end: Cycle) -> Option<Cycle> {
+    /// dead time. Only the debug-build blocked-request oracle needs the
+    /// `&mut` receiver; a passing proof changes nothing.
+    fn mc_skip_target(&mut self, end: Cycle) -> Option<Cycle> {
         let now = self.now;
         let mut target = end;
         // Checks are ordered cheapest-veto-first; since any veto returns
         // None before `fast_forward_to` runs, the order cannot change
         // what a skip does, only what a refused skip costs.
         //
-        // Events due this very cycle veto the skip — unless every one of
-        // them is an MSHR-full retry that would provably fail again, which
-        // `fast_forward_to` parks and replays in bulk instead. Split in
-        // two phases: a cheap tag scan here (anything that is not a
-        // retried L2 access vetoes immediately), with the per-event
-        // parkability proof deferred until every other check has already
-        // allowed the skip.
-        let due = self.events.due_now();
-        if due
+        // Events due this very cycle veto the skip — unless the only one
+        // is the blocked-retry marker and no blocked request's bank has
+        // changed (checked last, below): each would then fail again
+        // exactly as before, so `fast_forward_to` just moves the marker.
+        if self
+            .events
+            .due_now()
             .iter()
-            .any(|e| !matches!(e, EventKind::L2Access { retried: true, .. }))
+            .any(|e| !matches!(e, EventKind::Retries))
         {
             return None;
         }
@@ -753,11 +828,16 @@ impl System {
         if target <= now {
             return None;
         }
-        // Phase two: prove each due retry would fail again. This is the
-        // expensive part (an L2 probe plus an MSHR lookup per event), so
-        // it runs only once everything else already permits the skip.
-        if !due.iter().all(|e| self.is_parkable_retry(e)) {
+        if self
+            .retry_due
+            .iter()
+            .any(|b| self.mshr_epoch[b.bank] != b.epoch)
+        {
             return None;
+        }
+        #[cfg(debug_assertions)]
+        for b in &self.retry_due {
+            assert_still_blocked(&self.l2, self.mshr_banks[b.bank].as_mut(), b, now);
         }
         if let Some(t) = self.events.next_event_after_now() {
             target = target.min(t);
@@ -765,28 +845,11 @@ impl System {
         (target > now).then_some(target)
     }
 
-    /// Whether an event due this cycle is an MSHR-full retry that would
-    /// provably fail again: its line still absent from the L2 and its
-    /// bank still full with no entry to merge into. While the rest of the
-    /// machine is quiescent nothing can change that outcome — failing
-    /// `allocate` calls are pure across every MSHR organization and their
-    /// probe counts depend only on the untouched bank state — so the skip
-    /// can park the event and replay its per-cycle statistics in bulk.
-    fn is_parkable_retry(&self, event: &EventKind) -> bool {
-        let EventKind::L2Access { req, retried: true } = event else {
-            return false;
-        };
-        let bank = &self.mshr_banks[self.mapper.decode(req.line.base()).mc.index()];
-        if !bank.is_full() {
-            return false;
-        }
-        !self.l2.contains(req.line) && bank.entry(req.line).is_none()
-    }
-
     /// Jumps `self.now` to `target`, replaying in bulk the only effects
-    /// the skipped ticks would have had: per-core stall counters, the
-    /// per-controller-clock queue-depth samples, and the failed allocation
-    /// attempts of any parked MSHR-full retries.
+    /// the skipped ticks would have had: per-core stall counters and the
+    /// per-controller-clock queue-depth samples. Blocked requests' failed
+    /// attempts need no replay here; they are charged when they next
+    /// re-run or when [`run_cycles`](System::run_cycles) returns.
     fn fast_forward_to(&mut self, target: Cycle) {
         let from = self.now;
         let n = target.raw() - from.raw();
@@ -801,28 +864,12 @@ impl System {
                 mc.note_skipped_ticks(edges);
             }
         }
-        // Parked MSHR-full retries would have fired and failed identically
-        // on each of the `n` skipped cycles: charge the failed attempts in
-        // bulk, then leave the events due again at `target`, behind any
-        // earlier-scheduled arrivals there, exactly as per-cycle
-        // rescheduling would have ordered them.
-        let parked = self.events.take_due();
-        for event in &parked {
-            let EventKind::L2Access { req, .. } = event else {
-                unreachable!("mc_skip_target only parks L2 retry events"); // simlint::allow(P003, reason = "mc_skip_target parks only L2 retry events, so no other kind can be due here")
-            };
-            let (miss_target, kind) = miss_params(req);
-            let bank = self.mapper.decode(req.line.base()).mc.index();
-            match self.mshr_banks[bank].allocate(req.line, miss_target, kind, from) {
-                Err(e) => {
-                    self.probe_hist.record_n(e.probes() as u64, n);
-                    self.mshr_full_retries += n;
-                }
-                Ok(_) => unreachable!("parked retries were proven unable to allocate"), // simlint::allow(P003, reason = "quiescence proves no MSHR entry freed, so a parked retry cannot allocate")
-            }
-        }
+        // The blocked-retry marker, the only event `mc_skip_target` lets
+        // be due now, moves to `target` behind any arrivals already
+        // scheduled there, where per-cycle handling would have put it.
+        let marker = self.events.take_due();
         self.events.advance_by(n);
-        for event in parked {
+        for event in marker {
             self.events.push(target, event);
         }
         self.skipped_cycles += n;
@@ -853,13 +900,7 @@ impl System {
             buf.clear();
             self.cores[i].cycle(now, &mut buf);
             for req in buf.drain(..) {
-                self.schedule(
-                    l2_arrival,
-                    EventKind::L2Access {
-                        req,
-                        retried: false,
-                    },
-                );
+                self.schedule(l2_arrival, EventKind::L2Access(req));
             }
         }
         self.req_buf = buf;
@@ -886,7 +927,8 @@ impl System {
             }
             for kind in batch.drain(..) {
                 match kind {
-                    EventKind::L2Access { req, retried } => self.handle_l2_access(req, retried),
+                    EventKind::L2Access(req) => self.handle_l2_access(req),
+                    EventKind::Retries => self.retry_blocked(),
                     EventKind::McSend(req) => {
                         self.send_queues[req.location.mc.index()].push(req);
                     }
@@ -903,6 +945,13 @@ impl System {
             }
             self.events.recycle(batch);
         }
+        // This cycle's attempts are done; requests that blocked during it
+        // are due next cycle.
+        debug_assert!(
+            self.retry_due.is_empty(),
+            "blocked requests missed their marker"
+        );
+        std::mem::swap(&mut self.retry_due, &mut self.retry_next);
 
         // 3. Memory controllers issue (at their own clock) and complete.
         if now.raw().is_multiple_of(self.mc_clock_divisor) {
@@ -944,54 +993,70 @@ impl System {
         if let Some(tuner) = &mut self.tuner {
             let committed: u64 = self.cores.iter().map(Core::committed).sum();
             if let Some(limit) = tuner.tick(now, committed) {
-                for bank in &mut self.mshr_banks {
+                for (bank, epoch) in self.mshr_banks.iter_mut().zip(&mut self.mshr_epoch) {
                     bank.set_capacity_limit(limit);
+                    *epoch += 1;
                 }
             }
         }
     }
 
-    fn handle_l2_access(&mut self, req: CoreRequest, retried: bool) {
+    fn handle_l2_access(&mut self, req: CoreRequest) {
         if req.is_writeback {
             self.handle_l1_writeback(req);
             return;
         }
-        let line = req.line;
-        let hit = if retried {
+        if self.l2.access(req.line, req.is_write && !req.is_prefetch) == AccessOutcome::Hit {
+            // Demand and L1-prefetch requests both have an L1 MSHR entry
+            // waiting for the line.
+            self.deliver_to_core(req.core, req.line);
+        } else {
+            self.l2_miss(req);
+        }
+        // The L2 prefetchers observe the demand stream only.
+        if !req.is_prefetch {
+            self.train_l2_prefetchers(req.pc, req.line);
+        }
+    }
+
+    /// Handles the [`EventKind::Retries`] marker: gives every request due
+    /// this cycle its attempt, in the order they blocked. A request whose
+    /// bank is unchanged since its last attempt would fail exactly as
+    /// before, so it passes to next cycle untouched; any other re-runs its
+    /// L2 probe and allocation after being charged its deferred failures.
+    fn retry_blocked(&mut self) {
+        let mut due = std::mem::take(&mut self.retry_due);
+        for mut b in due.drain(..) {
+            if self.mshr_epoch[b.bank] == b.epoch {
+                #[cfg(debug_assertions)]
+                assert_still_blocked(&self.l2, self.mshr_banks[b.bank].as_mut(), &b, self.now);
+                self.block_until_next_cycle(b);
+                continue;
+            }
+            b.charge_until(self.now, &mut self.probe_hist, &mut self.mshr_full_retries);
             // Quiet probe: the first attempt already counted the access and
             // trained the prefetchers. The line may have arrived meanwhile
             // through another requester's fill.
-            if self.l2.contains(line) {
+            let req = b.req;
+            if self.l2.contains(req.line) {
                 if req.is_write {
-                    self.l2.mark_dirty(line);
+                    self.l2.mark_dirty(req.line);
                 }
-                true
+                self.deliver_to_core(req.core, req.line);
             } else {
-                false
-            }
-        } else {
-            self.l2.access(line, req.is_write && !req.is_prefetch) == AccessOutcome::Hit
-        };
-        if hit {
-            // Demand and L1-prefetch requests both have an L1 MSHR entry
-            // waiting for the line.
-            self.deliver_to_core(req.core, line);
-        } else {
-            let (target, kind) = miss_params(&req);
-            if !self.allocate_l2_miss(line, target, kind) {
-                // MSHR bank full. Every core-originated request — demand or
-                // L1 prefetch — has an L1 MSHR entry waiting on this line,
-                // so it must retry rather than drop (a dropped prefetch
-                // would leave its core's entry allocated forever).
-                self.mshr_full_retries += 1;
-                let at = self.now + Cycles::new(1);
-                self.schedule(at, EventKind::L2Access { req, retried: true });
+                self.l2_miss(req);
             }
         }
-        // The L2 prefetchers observe the demand stream only.
-        if !retried && !req.is_prefetch {
-            self.train_l2_prefetchers(req.pc, line);
+        self.retry_due = due;
+    }
+
+    /// Queues a blocked request for next cycle's attempt; the first one
+    /// of a cycle schedules that cycle's [`EventKind::Retries`] marker.
+    fn block_until_next_cycle(&mut self, b: Blocked) {
+        if self.retry_next.is_empty() {
+            self.schedule(self.now + Cycles::new(1), EventKind::Retries);
         }
+        self.retry_next.push(b);
     }
 
     /// Interconnect cost for a request from `core` to MC `mc` (zero on the
@@ -1006,14 +1071,20 @@ impl System {
         }
     }
 
-    /// Tries to record an L2 miss. Returns `false` if the bank was full and
-    /// the miss was not recorded (prefetches are silently dropped by the
-    /// caller).
-    fn allocate_l2_miss(&mut self, line: LineAddr, target: MissTarget, kind: MissKind) -> bool {
+    /// Records an L2 miss in its MSHR bank, sending a memory request for a
+    /// primary miss. If the bank is full the request blocks until the bank
+    /// changes: every core-originated request — demand or L1 prefetch — has
+    /// an L1 MSHR entry waiting on this line, so it must retry rather than
+    /// drop (a dropped prefetch would leave its core's entry allocated
+    /// forever).
+    fn l2_miss(&mut self, req: CoreRequest) {
+        let line = req.line;
+        let (target, kind) = miss_params(&req);
         let location = self.mapper.decode(line.base());
         let bank = location.mc.index();
         match self.mshr_banks[bank].allocate(line, target, kind, self.now) {
             Ok(outcome) => {
+                self.mshr_epoch[bank] += 1;
                 self.probe_hist.record(outcome.probes() as u64);
                 // If an L2 prefetch for this exact line is already in
                 // flight, the data is on its way: track the miss but send
@@ -1035,15 +1106,18 @@ impl System {
                         + self.hop_to(target.core, bank);
                     self.schedule(self.now + delay, EventKind::McSend(req));
                 }
-                true
             }
             Err(e) => {
                 self.probe_hist.record(e.probes() as u64);
-                if target.token & L2_ORIGIN != 0 {
-                    // Only L2-internal prefetches may be dropped outright.
-                    self.dropped_prefetches += 1;
-                }
-                false
+                self.mshr_full_retries += 1;
+                let blocked = Blocked {
+                    req,
+                    bank,
+                    epoch: self.mshr_epoch[bank],
+                    probes: e.probes(),
+                    uncharged_from: self.now + Cycles::new(1),
+                };
+                self.block_until_next_cycle(blocked);
             }
         }
     }
@@ -1118,6 +1192,7 @@ impl System {
         if is_l2_prefetch {
             self.pf_inflight[bank].remove(&line);
         }
+        self.mshr_epoch[bank] += 1;
         let dealloc = self.mshr_banks[bank].deallocate(line);
         let Some((entry, probes)) = dealloc else {
             // A prefetch with no demand miss merged behind it: just fill.
@@ -1174,13 +1249,7 @@ impl System {
         self.fill_deliveries += 1;
         if let Some(writeback) = self.cores[core.index()].fill(line) {
             let at = self.now + self.l2_latency;
-            self.schedule(
-                at,
-                EventKind::L2Access {
-                    req: writeback,
-                    retried: false,
-                },
-            );
+            self.schedule(at, EventKind::L2Access(writeback));
         }
     }
 
