@@ -2,7 +2,7 @@
 """Soft wall-time regression gate for the reproduce-quick CI job.
 
 Compares a freshly measured `reproduce --timings` JSON against the
-committed reference (BENCH_8_quick.json). CI hardware varies run to run,
+committed reference (BENCH_15_quick.json). CI hardware varies run to run,
 so this is a *soft* gate: a >15 % total-wall regression emits a GitHub
 warning annotation (and per-experiment detail for the worst offenders)
 but never fails the job — the hard numbers ride in the uploaded artifact
@@ -38,6 +38,14 @@ def main() -> int:
             "::warning title=wall-time gate skipped::reference and measured "
             f"timings use different profiles (quick={ref.get('quick')} vs "
             f"quick={got.get('quick')}); not comparable"
+        )
+        return 0
+
+    if ref.get("jobs") != got.get("jobs"):
+        print(
+            "::warning title=wall-time gate skipped::reference and measured "
+            f"timings use different worker counts (jobs={ref.get('jobs')} vs "
+            f"jobs={got.get('jobs')}); not comparable"
         )
         return 0
 

@@ -14,8 +14,8 @@ use stacksim_mshr::{
 };
 use stacksim_stats::{Histogram, MetricsSink};
 use stacksim_types::{
-    AddressMapper, BusConfig, ClockDomain, ConfigError, CoreId, Cycle, Cycles, FastBuildHasher,
-    LineAddr,
+    AddressMapper, BusConfig, ClockDomain, ConfigError, CoreId, Cycle, Cycles, DramLocation,
+    FastBuildHasher, LineAddr,
 };
 use stacksim_vm::PageAllocator;
 use stacksim_workload::{Mix, SyntheticWorkload, TraceGenerator};
@@ -82,7 +82,7 @@ enum EventKind {
     McSend(MemRequest),
     /// Fill data reaches the cores waiting on `line`.
     CoreFill { line: LineAddr, cores: Vec<CoreId> },
-    /// The requests blocked on full MSHR banks (`System::retry_due`) get
+    /// The requests blocked on full MSHR banks (`System::blocked`) get
     /// their attempt for this cycle. At most one marker is pending: it is
     /// scheduled for the next cycle when the first request of a cycle
     /// blocks, so it sits where that request's own retry event would.
@@ -94,10 +94,11 @@ enum EventKind {
 /// changed: while `System::mshr_epoch[bank]` still equals `epoch`, another
 /// attempt would fail exactly as the last one did, spending `probes`
 /// probes, so those attempts are charged in bulk instead of performed.
-#[derive(Debug)]
+#[derive(Clone, Copy, Debug)]
 struct Blocked {
     req: CoreRequest,
-    bank: usize,
+    /// The line's decoded location, kept so a re-run skips the decode.
+    location: DramLocation,
     epoch: u64,
     probes: u32,
     /// First cycle whose failed attempt is not yet charged to statistics.
@@ -105,6 +106,11 @@ struct Blocked {
 }
 
 impl Blocked {
+    /// The MSHR bank (one per memory controller) the request waits on.
+    const fn bank(&self) -> usize {
+        self.location.mc.index()
+    }
+
     /// Charges the identical failed attempts of cycles
     /// `uncharged_from..now` to the retry counter and probe histogram.
     fn charge_until(&mut self, now: Cycle, probe_hist: &mut Histogram, retries: &mut u64) {
@@ -330,6 +336,12 @@ pub struct System {
     /// a completion, so an unchanged epoch proves its attempt would fail
     /// again.
     mshr_epoch: Vec<u64>,
+    /// Blocked requests per bank, over `blocked` and `fresh_blocked`.
+    blocked_per_bank: Vec<u32>,
+    /// False only while every blocked request's epoch equals its bank's:
+    /// an epoch bump sets it when that bank has blocked requests, and a
+    /// walk of `blocked` resets it.
+    blocked_stale: bool,
     tuner: Option<DynamicTuner>,
     mcs: Vec<MemoryController>,
     send_queues: Vec<SendQueues>,
@@ -337,12 +349,18 @@ pub struct System {
     pf_inflight: Vec<std::collections::HashSet<LineAddr, FastBuildHasher>>,
     mapper: AddressMapper,
     events: EventWheel,
-    /// Requests blocked on full MSHR banks whose next attempt is due at the
-    /// pending [`EventKind::Retries`] marker, in the order they blocked.
-    retry_due: Vec<Blocked>,
-    /// Requests that blocked this cycle, due next cycle; swapped into
-    /// `retry_due` when the cycle's event drain ends.
-    retry_next: Vec<Blocked>,
+    /// Requests blocked on full MSHR banks, in attempt order: their next
+    /// attempts are due at the pending [`EventKind::Retries`] marker.
+    blocked: Vec<Blocked>,
+    /// Requests that blocked for the first time this cycle; merged into
+    /// `blocked` when the cycle's event drain ends.
+    fresh_blocked: Vec<Blocked>,
+    /// `fresh_blocked.len()` when this cycle's marker ran (`usize::MAX`
+    /// before it). Next cycle, the fresh blocks of events ahead of the
+    /// marker attempt before its survivors and later ones after them.
+    fresh_before_walk: usize,
+    /// Whether next cycle's marker is already scheduled.
+    next_marker_queued: bool,
     req_buf: Vec<CoreRequest>,
     completion_buf: Vec<Completion>,
     core_list_pool: Vec<Vec<CoreId>>,
@@ -521,6 +539,8 @@ impl System {
             l2_nextline: cfg.l2_prefetch.then(|| NextLinePrefetcher::new(1)),
             l2_stride: cfg.l2_prefetch.then(|| StridePrefetcher::new(64, 1)),
             mshr_epoch: vec![0; cfg.memory.mcs as usize],
+            blocked_per_bank: vec![0; cfg.memory.mcs as usize],
+            blocked_stale: false,
             mshr_banks,
             tuner,
             mcs,
@@ -529,8 +549,10 @@ impl System {
             pf_inflight,
             mapper,
             events: EventWheel::new(),
-            retry_due: Vec::new(),
-            retry_next: Vec::new(),
+            blocked: Vec::new(),
+            fresh_blocked: Vec::new(),
+            fresh_before_walk: usize::MAX,
+            next_marker_queued: false,
             req_buf: Vec::new(),
             completion_buf: Vec::new(),
             core_list_pool: Vec::new(),
@@ -692,7 +714,7 @@ impl System {
             }
             self.tick();
         }
-        for b in &mut self.retry_due {
+        for b in &mut self.blocked {
             b.charge_until(self.now, &mut self.probe_hist, &mut self.mshr_full_retries);
         }
     }
@@ -828,16 +850,17 @@ impl System {
         if target <= now {
             return None;
         }
-        if self
-            .retry_due
-            .iter()
-            .any(|b| self.mshr_epoch[b.bank] != b.epoch)
+        if self.blocked_stale
+            && self
+                .blocked
+                .iter()
+                .any(|b| self.mshr_epoch[b.bank()] != b.epoch)
         {
             return None;
         }
         #[cfg(debug_assertions)]
-        for b in &self.retry_due {
-            assert_still_blocked(&self.l2, self.mshr_banks[b.bank].as_mut(), b, now);
+        for b in &self.blocked {
+            assert_still_blocked(&self.l2, self.mshr_banks[b.bank()].as_mut(), b, now);
         }
         if let Some(t) = self.events.next_event_after_now() {
             target = target.min(t);
@@ -945,13 +968,19 @@ impl System {
             }
             self.events.recycle(batch);
         }
-        // This cycle's attempts are done; requests that blocked during it
-        // are due next cycle.
+        // This cycle's attempts are done. Fresh blocks join the walk's
+        // survivors, each on its side of the marker in event order.
         debug_assert!(
-            self.retry_due.is_empty(),
+            self.blocked.is_empty() || self.fresh_before_walk != usize::MAX,
             "blocked requests missed their marker"
         );
-        std::mem::swap(&mut self.retry_due, &mut self.retry_next);
+        if !self.fresh_blocked.is_empty() {
+            let at = self.fresh_before_walk.min(self.fresh_blocked.len());
+            self.fresh_blocked.splice(at..at, self.blocked.drain(..));
+            std::mem::swap(&mut self.blocked, &mut self.fresh_blocked);
+        }
+        self.fresh_before_walk = usize::MAX;
+        self.next_marker_queued = false;
 
         // 3. Memory controllers issue (at their own clock) and complete.
         if now.raw().is_multiple_of(self.mc_clock_divisor) {
@@ -993,9 +1022,9 @@ impl System {
         if let Some(tuner) = &mut self.tuner {
             let committed: u64 = self.cores.iter().map(Core::committed).sum();
             if let Some(limit) = tuner.tick(now, committed) {
-                for (bank, epoch) in self.mshr_banks.iter_mut().zip(&mut self.mshr_epoch) {
-                    bank.set_capacity_limit(limit);
-                    *epoch += 1;
+                for bank in 0..self.mshr_banks.len() {
+                    self.mshr_banks[bank].set_capacity_limit(limit);
+                    self.bump_epoch(bank);
                 }
             }
         }
@@ -1019,44 +1048,85 @@ impl System {
         }
     }
 
-    /// Handles the [`EventKind::Retries`] marker: gives every request due
-    /// this cycle its attempt, in the order they blocked. A request whose
-    /// bank is unchanged since its last attempt would fail exactly as
-    /// before, so it passes to next cycle untouched; any other re-runs its
-    /// L2 probe and allocation after being charged its deferred failures.
+    /// Handles the [`EventKind::Retries`] marker: gives every blocked
+    /// request its attempt for this cycle, in attempt order. While no bank
+    /// with blocked requests has changed, every attempt would fail exactly
+    /// as before, so the marker only schedules the next one. Otherwise a
+    /// request whose bank is unchanged stays put, and any other is charged
+    /// its deferred failures and re-runs its L2 probe and allocation;
+    /// survivors are compacted in place.
     fn retry_blocked(&mut self) {
-        let mut due = std::mem::take(&mut self.retry_due);
-        for mut b in due.drain(..) {
-            if self.mshr_epoch[b.bank] == b.epoch {
-                #[cfg(debug_assertions)]
-                assert_still_blocked(&self.l2, self.mshr_banks[b.bank].as_mut(), &b, self.now);
-                self.block_until_next_cycle(b);
-                continue;
+        self.fresh_before_walk = self.fresh_blocked.len();
+        if !self.blocked_stale {
+            #[cfg(debug_assertions)]
+            for b in &self.blocked {
+                assert_still_blocked(&self.l2, self.mshr_banks[b.bank()].as_mut(), b, self.now);
             }
-            b.charge_until(self.now, &mut self.probe_hist, &mut self.mshr_full_retries);
-            // Quiet probe: the first attempt already counted the access and
-            // trained the prefetchers. The line may have arrived meanwhile
-            // through another requester's fill.
-            let req = b.req;
-            if self.l2.contains(req.line) {
-                if req.is_write {
-                    self.l2.mark_dirty(req.line);
-                }
-                self.deliver_to_core(req.core, req.line);
-            } else {
-                self.l2_miss(req);
-            }
+            self.queue_next_marker();
+            return;
         }
-        self.retry_due = due;
+        let now = self.now;
+        // The walk covers `blocked` only; a fresh block already stale keeps
+        // the flag set.
+        self.blocked_stale = self
+            .fresh_blocked
+            .iter()
+            .any(|b| self.mshr_epoch[b.bank()] != b.epoch);
+        let mut list = std::mem::take(&mut self.blocked);
+        let mut kept = 0;
+        for i in 0..list.len() {
+            let mut b = list[i];
+            let bank = b.bank();
+            if self.mshr_epoch[bank] == b.epoch {
+                #[cfg(debug_assertions)]
+                assert_still_blocked(&self.l2, self.mshr_banks[bank].as_mut(), &b, now);
+            } else {
+                self.blocked_per_bank[bank] -= 1;
+                b.charge_until(now, &mut self.probe_hist, &mut self.mshr_full_retries);
+                // Quiet probe: the first attempt already counted the access
+                // and trained the prefetchers. The line may have arrived
+                // meanwhile through another requester's fill.
+                let req = b.req;
+                if self.l2.contains(req.line) {
+                    if req.is_write {
+                        self.l2.mark_dirty(req.line);
+                    }
+                    self.deliver_to_core(req.core, req.line);
+                    continue;
+                }
+                let Err(probes) = self.try_allocate(&req, b.location) else {
+                    continue;
+                };
+                b.epoch = self.mshr_epoch[bank];
+                b.probes = probes;
+                b.uncharged_from = now + Cycles::new(1);
+                self.blocked_per_bank[bank] += 1;
+            }
+            list[kept] = b;
+            kept += 1;
+            self.queue_next_marker();
+        }
+        list.truncate(kept);
+        self.blocked = list;
     }
 
-    /// Queues a blocked request for next cycle's attempt; the first one
-    /// of a cycle schedules that cycle's [`EventKind::Retries`] marker.
-    fn block_until_next_cycle(&mut self, b: Blocked) {
-        if self.retry_next.is_empty() {
+    /// Schedules next cycle's [`EventKind::Retries`] marker unless this
+    /// cycle already did: at the first request of a cycle to block, fresh
+    /// or surviving a walk, which is where its own retry event would sit.
+    fn queue_next_marker(&mut self) {
+        if !self.next_marker_queued {
+            self.next_marker_queued = true;
             self.schedule(self.now + Cycles::new(1), EventKind::Retries);
         }
-        self.retry_next.push(b);
+    }
+
+    /// Bumps bank `bank`'s epoch; its blocked requests, if any, must be
+    /// re-checked at the next marker.
+    fn bump_epoch(&mut self, bank: usize) {
+        self.mshr_epoch[bank] += 1;
+        if self.blocked_per_bank[bank] > 0 {
+            self.blocked_stale = true;
+        }
     }
 
     /// Interconnect cost for a request from `core` to MC `mc` (zero on the
@@ -1078,13 +1148,33 @@ impl System {
     /// drop (a dropped prefetch would leave its core's entry allocated
     /// forever).
     fn l2_miss(&mut self, req: CoreRequest) {
+        let location = self.mapper.decode(req.line.base());
+        let Err(probes) = self.try_allocate(&req, location) else {
+            return;
+        };
+        let bank = location.mc.index();
+        self.blocked_per_bank[bank] += 1;
+        self.fresh_blocked.push(Blocked {
+            req,
+            location,
+            epoch: self.mshr_epoch[bank],
+            probes,
+            uncharged_from: self.now + Cycles::new(1),
+        });
+        self.queue_next_marker();
+    }
+
+    /// One allocation attempt for `req`'s line in the MSHR bank of
+    /// `location`, recorded in the probe histogram; a full bank also counts
+    /// an MSHR-full retry and returns the probes the attempt spent. Shared
+    /// by fresh misses and blocked requests' re-runs.
+    fn try_allocate(&mut self, req: &CoreRequest, location: DramLocation) -> Result<(), u32> {
         let line = req.line;
-        let (target, kind) = miss_params(&req);
-        let location = self.mapper.decode(line.base());
+        let (target, kind) = miss_params(req);
         let bank = location.mc.index();
         match self.mshr_banks[bank].allocate(line, target, kind, self.now) {
             Ok(outcome) => {
-                self.mshr_epoch[bank] += 1;
+                self.bump_epoch(bank);
                 self.probe_hist.record(outcome.probes() as u64);
                 // If an L2 prefetch for this exact line is already in
                 // flight, the data is on its way: track the miss but send
@@ -1106,18 +1196,12 @@ impl System {
                         + self.hop_to(target.core, bank);
                     self.schedule(self.now + delay, EventKind::McSend(req));
                 }
+                Ok(())
             }
             Err(e) => {
                 self.probe_hist.record(e.probes() as u64);
                 self.mshr_full_retries += 1;
-                let blocked = Blocked {
-                    req,
-                    bank,
-                    epoch: self.mshr_epoch[bank],
-                    probes: e.probes(),
-                    uncharged_from: self.now + Cycles::new(1),
-                };
-                self.block_until_next_cycle(blocked);
+                Err(e.probes())
             }
         }
     }
@@ -1192,7 +1276,7 @@ impl System {
         if is_l2_prefetch {
             self.pf_inflight[bank].remove(&line);
         }
-        self.mshr_epoch[bank] += 1;
+        self.bump_epoch(bank);
         let dealloc = self.mshr_banks[bank].deallocate(line);
         let Some((entry, probes)) = dealloc else {
             // A prefetch with no demand miss merged behind it: just fill.

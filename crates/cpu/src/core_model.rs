@@ -77,16 +77,31 @@ impl SlotRing {
     #[inline]
     fn push_back(&mut self, slot: Slot) {
         debug_assert!(self.len <= self.mask, "window ring overfilled");
-        self.buf[(self.head + self.len) & self.mask] = slot;
+        self.buf[self.tail_index()] = slot;
         self.len += 1;
     }
 
-    /// Visits every occupied slot head-to-tail (the fill wake-up walk).
-    fn for_each_mut(&mut self, mut f: impl FnMut(&mut Slot)) {
-        for i in 0..self.len {
-            f(&mut self.buf[(self.head + i) & self.mask]);
-        }
+    /// The ring index the next [`push_back`](SlotRing::push_back) writes.
+    /// A slot keeps its index until it commits.
+    #[inline]
+    const fn tail_index(&self) -> usize {
+        (self.head + self.len) & self.mask
     }
+
+    /// The slot at ring index `index`.
+    #[inline]
+    fn at_mut(&mut self, index: usize) -> &mut Slot {
+        &mut self.buf[index & self.mask]
+    }
+}
+
+/// The L1 MSHR token of a demand miss: the ring index of the window slot
+/// the µop waits in, shifted left one bit, with write intent in bit 0 so
+/// the fill knows whether to install the line dirty. A prefetch target's
+/// token is `0`. Tokens never leave the core: the L2 request carries its
+/// own.
+const fn demand_token(slot_index: usize, is_write: bool) -> u64 {
+    ((slot_index as u64) << 1) | is_write as u64
 }
 
 /// Per-core virtual-memory state: the DTLB plus a handle on the machine's
@@ -138,7 +153,6 @@ pub struct Core {
     /// the only two mutation paths, [`cycle`](Core::cycle) and
     /// [`fill`](Core::fill).
     activity_bound: Cell<Option<Option<Cycle>>>,
-    token: u64,
     committed: u64,
     instr_limit: Option<u64>,
     finish_cycle: Option<Cycle>,
@@ -181,7 +195,6 @@ impl Core {
             tage,
             fetch_stall_until: Cycle::ZERO,
             activity_bound: Cell::new(None),
-            token: 0,
             committed: 0,
             instr_limit: None,
             finish_cycle: None,
@@ -447,10 +460,7 @@ impl Core {
         is_write: bool,
         requests: &mut Vec<CoreRequest>,
     ) -> bool {
-        // Encode write intent in the token's low bit so the eventual fill
-        // knows whether to install the line dirty.
-        self.token += 1;
-        let token = (self.token << 1) | u64::from(is_write);
+        let token = demand_token(self.window.tail_index(), is_write);
         let target = MissTarget::demand(self.id, token);
         let kind = if is_write {
             MissKind::Write
@@ -486,8 +496,7 @@ impl Core {
                 self.prefetches_dropped += 1;
                 continue;
             }
-            self.token += 1;
-            let target = MissTarget::prefetch(self.id, self.token << 1);
+            let target = MissTarget::prefetch(self.id, 0);
             self.mshr
                 .allocate(target_line, target, MissKind::Read, Cycle::ZERO)
                 .expect("mshr has room"); // simlint::allow(P002, reason = "prefetch issue is gated on MSHR headroom checked just above")
@@ -497,21 +506,31 @@ impl Core {
         self.pf_buf = candidates;
     }
 
-    /// Delivers a line fill from the memory system: wakes every waiting
-    /// window slot, installs the line into the DL1, and — if a dirty victim
-    /// was evicted — returns the writeback request the owner must route to
-    /// the L2.
+    /// Delivers a line fill from the memory system: wakes the window slots
+    /// waiting on `line`, installs the line into the DL1, and — if a dirty
+    /// victim was evicted — returns the writeback request the owner must
+    /// route to the L2.
+    ///
+    /// The wake-up touches only the slots the line's L1 MSHR entry names:
+    /// a demand target's token is its window slot's ring index shifted
+    /// left one bit, with write intent in bit 0 (a prefetch target's token
+    /// is `0`), and every slot waiting on `line` merged into that entry,
+    /// so no other slot is visited.
     pub fn fill(&mut self, line: LineAddr) -> Option<CoreRequest> {
         self.activity_bound.set(None);
         let Some((entry, _)) = self.mshr.deallocate(line) else {
             self.spurious_fills += 1;
             return None;
         };
-        self.window.for_each_mut(|slot| {
-            if *slot == Slot::Waiting(line) {
-                *slot = Slot::Done;
-            }
-        });
+        for t in entry.targets().iter().filter(|t| !t.is_prefetch) {
+            let slot = self.window.at_mut((t.token >> 1) as usize);
+            debug_assert_eq!(
+                *slot,
+                Slot::Waiting(line),
+                "woken slot not waiting on {line}"
+            );
+            *slot = Slot::Done;
+        }
         let dirty = entry.targets().iter().any(|t| t.token & 1 == 1);
         let victim = self.dl1.fill(line, dirty)?;
         victim
@@ -853,7 +872,97 @@ mod tests {
         assert_eq!(metrics_of(&core).get("spurious_fills"), Some(1.0));
     }
 
+    #[test]
+    fn fill_wakes_exactly_the_entry_targets() {
+        // 110 µops commit first so the waiting slots straddle the ring's
+        // wrap (96-slot window, 128-slot ring); then line A gets four
+        // merged demand misses in non-adjacent slots between misses on B
+        // and C.
+        let (a, b, c) = (1000u64, 2000u64, 3000u64);
+        let mut instrs = vec![Instr::Compute; 110];
+        let mut tail = vec![Instr::Compute; 300];
+        for (at, line) in [(0, a), (3, b), (7, a), (12, c), (20, a), (26, b), (33, a)] {
+            tail[at] = load(line);
+        }
+        instrs.extend(tail);
+        let mut target = bare_core(instrs.clone());
+        let mut reference = bare_core(instrs);
+        let mut reqs = Vec::new();
+        for core in [&mut target, &mut reference] {
+            // An L1 prefetch already holds A's entry: the demands merge.
+            let pf = MissTarget::prefetch(core.id, 0);
+            core.mshr
+                .allocate(LineAddr::new(a), pf, MissKind::Read, Cycle::ZERO)
+                .unwrap();
+            for now in 0..60 {
+                core.cycle(Cycle::new(now), &mut reqs);
+            }
+        }
+        let ring = &target.window;
+        assert!(ring.head + ring.len > ring.buf.len(), "window must wrap");
+        let occupied: Vec<usize> = (0..ring.len).map(|i| (ring.head + i) & ring.mask).collect();
+        let waiting_on = |line: u64| -> Vec<usize> {
+            occupied
+                .iter()
+                .copied()
+                .filter(|&i| ring.buf[i] == Slot::Waiting(LineAddr::new(line)))
+                .collect()
+        };
+        let on_a = waiting_on(a);
+        assert_eq!(on_a.len(), 4, "four demand slots wait on A");
+        assert!(
+            on_a.iter().any(|&i| i < ring.head),
+            "A slots on both sides of the wrap"
+        );
+        assert!(
+            on_a.windows(2).all(|w| w[0].abs_diff(w[1]) > 1),
+            "non-adjacent"
+        );
+        assert_eq!(waiting_on(b).len(), 2);
+        assert_eq!(waiting_on(c).len(), 1);
+
+        let before = target.window.buf.clone();
+        assert!(target.fill(LineAddr::new(a)).is_none());
+        reference.fill_by_walk(LineAddr::new(a));
+        for (i, (was, now)) in before.iter().zip(target.window.buf.iter()).enumerate() {
+            let expected = if on_a.contains(&i) { Slot::Done } else { *was };
+            assert_eq!(*now, expected, "ring slot {i}");
+        }
+        assert_eq!(target.window.buf, reference.window.buf);
+
+        // The rest of the run commits exactly as the window walk does.
+        for now in 60..100 {
+            for core in [&mut target, &mut reference] {
+                if now == 70 {
+                    core.fill(LineAddr::new(b));
+                    core.fill(LineAddr::new(c));
+                }
+                core.cycle(Cycle::new(now), &mut reqs);
+            }
+            assert_eq!(target.committed(), reference.committed(), "cycle {now}");
+        }
+        assert!(
+            target.committed() > 110 + 33,
+            "the window drained past the misses"
+        );
+    }
+
     impl Core {
+        /// Reference for [`Core::fill`]: wakes every slot waiting on
+        /// `line` by walking the whole window.
+        fn fill_by_walk(&mut self, line: LineAddr) {
+            self.activity_bound.set(None);
+            let (entry, _) = self.mshr.deallocate(line).expect("line outstanding");
+            for i in 0..self.window.len {
+                let slot = self.window.at_mut(self.window.head + i);
+                if *slot == Slot::Waiting(line) {
+                    *slot = Slot::Done;
+                }
+            }
+            let dirty = entry.targets().iter().any(|t| t.token & 1 == 1);
+            let _ = self.dl1.fill(line, dirty);
+        }
+
         /// Test helper: force-fill a line as if a prefetch returned.
         fn fill_for_test(&mut self, line: LineAddr) -> Option<CoreRequest> {
             self.activity_bound.set(None);

@@ -78,10 +78,14 @@ pub struct MemoryController {
     /// the scheduler could possibly issue (no bank frees before it, and
     /// bank state only changes when this controller issues). Ticks before
     /// it return without rescanning the queue; any enqueue or issue resets
-    /// it to zero.
+    /// it to zero. While set it equals `earliest_ready` over the queue, so
+    /// [`next_issue_ready`](Self::next_issue_ready) answers from it.
     issue_blocked_until: Cycle,
     queue: VecDeque<MemRequest>,
     in_flight: Vec<Completion>,
+    /// The earliest `finished` in `in_flight` (`None` when empty): lowered
+    /// on issue, recomputed after a drain that removed something.
+    next_finish: Option<Cycle>,
     bus_free: Cycle,
     cmd_trace: Option<Vec<DramCmd>>,
     // Statistics.
@@ -139,6 +143,7 @@ impl MemoryController {
             issue_blocked_until: Cycle::ZERO,
             queue: VecDeque::with_capacity(config.queue_capacity),
             in_flight: Vec::new(),
+            next_finish: None,
             bus_free: Cycle::ZERO,
             cmd_trace: None,
             issued: 0,
@@ -229,7 +234,7 @@ impl MemoryController {
             // in between skip the scan. `pick == None` with a non-empty
             // queue implies every queued bank's free time is beyond `now`,
             // so `earliest_ready` is `Some` and in the future.
-            self.issue_blocked_until = self.next_issue_ready().unwrap_or(Cycle::ZERO);
+            self.issue_blocked_until = self.earliest_ready().unwrap_or(Cycle::ZERO);
             return;
         };
         let request = self
@@ -287,6 +292,7 @@ impl MemoryController {
         self.queue_wait
             .record(now.saturating_since(request.arrival).raw() as f64);
         self.service_time.record((finished - now).raw() as f64);
+        self.next_finish = Some(self.next_finish.map_or(finished, |t| t.min(finished)));
         self.in_flight.push(Completion {
             request,
             finished,
@@ -303,9 +309,10 @@ impl MemoryController {
 
     /// [`drain_completions`](Self::drain_completions) into a caller-owned
     /// buffer, so per-cycle drain loops reuse one allocation. Appends the
-    /// finished requests (ordered by finish cycle) to `out`.
+    /// finished requests (ordered by finish cycle) to `out`. Returns at once
+    /// when nothing is due, so calling it every cycle costs one compare.
     pub fn drain_completions_into(&mut self, now: Cycle, out: &mut Vec<Completion>) {
-        if self.in_flight.is_empty() {
+        if self.next_finish.is_none_or(|t| t > now) {
             return;
         }
         let start = out.len();
@@ -318,12 +325,13 @@ impl MemoryController {
             }
         }
         out[start..].sort_by_key(|c| c.finished);
+        self.next_finish = self.in_flight.iter().map(|c| c.finished).min();
     }
 
     /// The earliest cycle at which any in-flight request finishes, if any —
     /// used by drain loops to fast-forward through idle stretches.
-    pub fn next_completion_at(&self) -> Option<Cycle> {
-        self.in_flight.iter().map(|c| c.finished).min()
+    pub const fn next_completion_at(&self) -> Option<Cycle> {
+        self.next_finish
     }
 
     /// The earliest cycle at which a [`tick`](Self::tick) could issue a
@@ -332,6 +340,18 @@ impl MemoryController {
     /// `None` when the queue is empty. A value `<= now` means the
     /// controller is issue-ready right now.
     pub fn next_issue_ready(&self) -> Option<Cycle> {
+        if self.issue_blocked_until > Cycle::ZERO {
+            debug_assert_eq!(
+                Some(self.issue_blocked_until),
+                self.earliest_ready(),
+                "stale issue memo"
+            );
+            return Some(self.issue_blocked_until);
+        }
+        self.earliest_ready()
+    }
+
+    fn earliest_ready(&self) -> Option<Cycle> {
         self.config
             .policy
             .earliest_ready(self.queue.iter(), &self.banks)
@@ -747,5 +767,70 @@ mod tests {
         mc.enqueue(read_req(&mapper, 0, 0)).unwrap();
         mc.tick(Cycle::ZERO);
         assert!(mc.next_completion_at().is_some());
+    }
+
+    /// The drain as a full scan of the in-flight list: swap-remove every
+    /// finished request, then sort the drained ones by finish cycle.
+    fn reference_drain(in_flight: &mut Vec<Completion>, now: Cycle) -> Vec<Completion> {
+        let mut out = Vec::new();
+        let mut i = 0;
+        while i < in_flight.len() {
+            if in_flight[i].finished <= now {
+                out.push(in_flight.swap_remove(i));
+            } else {
+                i += 1;
+            }
+        }
+        out.sort_by_key(|c| c.finished);
+        out
+    }
+
+    #[test]
+    fn cached_bounds_match_full_scans() {
+        let (proto, mapper) = mc(SchedulerPolicy::FrFcfs, BusConfig::on_stack(8));
+        let mut cfg = *proto.config();
+        cfg.critical_word_first = true;
+        let mut mc = MemoryController::new(McId::new(0), cfg);
+        let mut rng: u64 = 0x2545_f491_4f6c_dd1d;
+        let mut next = move |n: u64| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng % n
+        };
+        let mut expected_in_flight: Vec<Completion> = Vec::new();
+        let mut ties = 0;
+        let mut drained = 0;
+        let mut now = Cycle::ZERO;
+        for step in 0..4_000u64 {
+            if mc.can_accept() && next(3) > 0 {
+                let mut req = read_req(&mapper, next(64), now.raw());
+                if next(4) == 0 {
+                    req.kind = RequestKind::Writeback;
+                }
+                mc.enqueue(req).unwrap();
+            }
+            mc.tick(now);
+            expected_in_flight.clone_from(&mc.in_flight);
+            if next(4) == 0 {
+                let want = reference_drain(&mut expected_in_flight, now);
+                let mut got = Vec::new();
+                mc.drain_completions_into(now, &mut got);
+                assert_eq!(got, want, "step {step}: drained requests or order");
+                assert_eq!(mc.in_flight, expected_in_flight, "step {step}: survivors");
+                ties += want
+                    .windows(2)
+                    .filter(|w| w[0].finished == w[1].finished)
+                    .count();
+                drained += want.len();
+            }
+            let min = mc.in_flight.iter().map(|c| c.finished).min();
+            assert_eq!(mc.next_completion_at(), min, "step {step}");
+            let ready = cfg.policy.earliest_ready(mc.queue.iter(), &mc.banks);
+            assert_eq!(mc.next_issue_ready(), ready, "step {step}");
+            now += Cycles::new(1 + next(8));
+        }
+        assert!(drained > 500, "only {drained} completions drained");
+        assert!(ties > 0, "no drain saw two requests finish together");
     }
 }

@@ -212,8 +212,10 @@ fn metrics_digest(result: &RunResult) -> u64 {
 /// The retry-heavy matrix: both baseline-sized MSHR machines (2D, one bank
 /// of 8 entries; dual-MC, two banks of 4) under every MSHR organization,
 /// each at the shipped latencies and at two odd latency settings where
-/// one-cycle sends and writebacks interleave with MSHR-full retries, plus
-/// dynamic-tuner runs whose capacity changes reopen full banks.
+/// one-cycle sends and writebacks interleave with MSHR-full retries;
+/// quad-MC (four banks of 2) under every organization at the shipped
+/// latencies; two runs with no L2 or wire latency; plus dynamic-tuner runs
+/// whose capacity changes reopen full banks.
 fn retry_heavy_cases() -> Vec<(String, SystemConfig)> {
     let kinds = [
         MshrKind::Cam,
@@ -239,6 +241,26 @@ fn retry_heavy_cases() -> Vec<(String, SystemConfig)> {
             cases.push((format!("{machine}/{kind}/hop-1"), hops));
         }
     }
+    // Quad-MC: four banks of 2 entries, so blocked requests of several
+    // banks interleave in one walk and each bank's count matters.
+    for kind in kinds {
+        cases.push((
+            format!("quad-mc/{kind}"),
+            configs::cfg_quad_mc().with_mshr_kind(kind),
+        ));
+    }
+    // L2 latency 0: demand accesses reach the L2 in the cycle they issue,
+    // behind that cycle's retry marker, so their blocks attempt after the
+    // marker's survivors next cycle.
+    for (machine, base, kind) in [
+        ("2d", configs::cfg_2d(), MshrKind::Cam),
+        ("dual-mc", configs::cfg_dual_mc(), MshrKind::Vbf),
+    ] {
+        let mut cfg = base.with_mshr_kind(kind);
+        cfg.l2_latency = Cycles::ZERO;
+        cfg.memory.path_latency = Cycles::ZERO;
+        cases.push((format!("{machine}/{kind}/l2-0-path-0"), cfg));
+    }
     let tuner = TunerConfig {
         sample_cycles: 500,
         apply_cycles: 3_000,
@@ -261,7 +283,9 @@ fn retry_heavy_cases() -> Vec<(String, SystemConfig)> {
 
 /// Each retry-heavy case's `(mshr_full_retries, mshr_probes_per_access
 /// bits, committed, metrics digest)` on VH1, as produced by the simulator
-/// that re-probed every blocked request every cycle. Any change to how
+/// that re-probed every blocked request every cycle. The quad-MC and
+/// zero-latency rows came later, from the per-cycle walk over blocked
+/// requests that skipped unchanged banks, which reproduced every other row. Any change to how
 /// blocked requests wait must reproduce these exactly.
 #[rustfmt::skip]
 const RETRY_HEAVY_PINS: &[(&str, u64, u64, u64, u64)] = &[
@@ -295,6 +319,13 @@ const RETRY_HEAVY_PINS: &[(&str, u64, u64, u64, u64)] = &[
     ("dual-mc/hierarchical", 348895, 0x3fff91c4f376c5a4, 65612, 0x7143b7276412530a),
     ("dual-mc/hierarchical/l2-1-path-1", 480337, 0x3fffb6c78f6146b7, 55145, 0x9a489d39a691c243),
     ("dual-mc/hierarchical/hop-1", 351147, 0x3fff98a16f0b3731, 63133, 0xa48367615c299b60),
+    ("quad-mc/cam", 304549, 0x3ff0000000000000, 82117, 0xfa2362bc63a35181),
+    ("quad-mc/direct-linear", 302598, 0x3fffaa56fa4fd03a, 83329, 0x47d28988840128bb),
+    ("quad-mc/direct-quadratic", 302598, 0x3fffaa56fa4fd03a, 83329, 0x47d28988840128bb),
+    ("quad-mc/vbf", 301787, 0x3ff6c10b2edab535, 81707, 0xe1e80b67ec06c2cd),
+    ("quad-mc/hierarchical", 224143, 0x3ffea9c53a74390e, 89542, 0xecc84019e548d1d3),
+    ("2d/cam/l2-0-path-0", 834793, 0x3ff0000000000000, 4073, 0x08311773874ddd4f),
+    ("dual-mc/vbf/l2-0-path-0", 744217, 0x3ffb4e43f7d42fe9, 83987, 0x4afac5c7e3314e33),
     ("dual-mc/vbf/tuner", 369345, 0x3ff62ac8213f50a1, 52098, 0xd95771a5a7ecd8d7),
     ("2d/hierarchical/tuner", 610512, 0x3ffff7b95a7e7e17, 3725, 0xe8b3beba816cb4c1),
 ];
